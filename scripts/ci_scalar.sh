@@ -13,8 +13,10 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-scalar}"
 
 cmake -B "$BUILD_DIR" -S . -DKC_SIMD=OFF
-cmake --build "$BUILD_DIR" -j --target pool_test batch_kernels_test
+cmake --build "$BUILD_DIR" -j --target pool_test batch_kernels_test \
+  fixed_kernels_test
 "$BUILD_DIR/tests/pool_test"
 "$BUILD_DIR/tests/batch_kernels_test"
+"$BUILD_DIR/tests/fixed_kernels_test"
 
 echo "ci_scalar: OK"

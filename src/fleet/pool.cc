@@ -1,16 +1,160 @@
 #include "fleet/pool.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 #include "common/chisq.h"
-#include "linalg/decomp.h"
-#include "linalg/kernels.h"
+#include "linalg/fixed_kernels.h"
 #include "obs/metrics.h"
 
 namespace kc {
+
+// ------------------------------------------------ Per-slot measurement path
+
+namespace {
+
+constexpr size_t kLanes = FilterPool::kLanes;
+
+// One slot's view of the AoSoA slabs: x element e at x_lane[e * kLanes],
+// P entry i (row-major) at p_lane[i * kLanes] (see FilterPool's class
+// comment). The kernels gather onto the stack, compute, and scatter.
+template <size_t N>
+void GatherSlot(const double* x_lane, const double* p_lane, double* x,
+                double* p) {
+  for (size_t e = 0; e < N; ++e) x[e] = x_lane[e * kLanes];
+  for (size_t i = 0; i < N * N; ++i) p[i] = p_lane[i * kLanes];
+}
+
+// The innovation nu = z - H x and the Cholesky factor l of
+// S = H P H^T + R (symmetrized), as KalmanFilter::Update and
+// KalmanPredictor's gate compute them. False if S is not PD.
+template <size_t N, size_t M>
+bool FactorInnovation(const double* h, const double* r, const double* x,
+                      const double* p, const double* z, double* nu,
+                      double* l) {
+  fixed::MultiplyVec<M, N>(h, x, nu);  // hx
+  for (size_t i = 0; i < M; ++i) nu[i] = z[i] - nu[i];
+  double hp[M * N], s[M * M];
+  fixed::Multiply<M, N, N>(h, p, hp);
+  fixed::MultiplyTransposed<M, N, M>(hp, h, s);
+  for (size_t i = 0; i < M * M; ++i) s[i] += r[i];
+  fixed::Symmetrize<M>(s);
+  return fixed::CholeskyFactor<M>(s, l);
+}
+
+// NIS = nu' S^{-1} nu through the factor of S.
+template <size_t M>
+double Nis(const double* l, const double* nu) {
+  double sinv_nu[M];
+  for (size_t i = 0; i < M; ++i) sinv_nu[i] = nu[i];
+  fixed::CholeskySolve<M>(l, sinv_nu);
+  double dot = 0.0;
+  for (size_t i = 0; i < M; ++i) dot += nu[i] * sinv_nu[i];
+  return dot;
+}
+
+// KalmanFilter::Update for state dim N, obs dim M: the same kernel
+// sequence (linalg/kernels.h -> linalg/fixed_kernels.h twins), minus the
+// log-likelihood diagnostic nothing pooled reads. Scatters back only on
+// success, so a failed update (S not PD) leaves the slot untouched.
+template <size_t N, size_t M>
+bool UpdateKernel(const double* h, const double* r, bool joseph,
+                  double* x_lane, double* p_lane, const double* z,
+                  double* nis) {
+  double x[N], p[N * N], nu[M], l[M * M];
+  GatherSlot<N>(x_lane, p_lane, x, p);
+  if (!FactorInnovation<N, M>(h, r, x, p, z, nu, l)) return false;
+
+  // Gain K = P H^T S^{-1}, computed as solve(S, H P)^T to stay factored.
+  double ph_t[N * M], kt[M * N], k[N * M];
+  fixed::MultiplyTransposed<N, N, M>(p, h, ph_t);
+  fixed::Transpose<N, M>(ph_t, kt);
+  fixed::CholeskySolveCols<M, N>(l, kt);
+  fixed::Transpose<M, N>(kt, k);
+
+  double knu[N];
+  fixed::MultiplyVec<N, M>(k, nu, knu);
+  for (size_t i = 0; i < N; ++i) x[i] += knu[i];
+
+  double i_kh[N * N], j1[N * N];
+  fixed::Multiply<N, M, N>(k, h, i_kh);  // kh
+  for (size_t row = 0; row < N; ++row) {
+    for (size_t c = 0; c < N; ++c) {
+      i_kh[row * N + c] = (row == c ? 1.0 : 0.0) - i_kh[row * N + c];
+    }
+  }
+  if (joseph) {
+    double tmp[N * N], kr[N * M], krk[N * N];
+    fixed::Multiply<N, N, N>(i_kh, p, tmp);
+    fixed::MultiplyTransposed<N, N, N>(tmp, i_kh, j1);
+    fixed::Multiply<N, M, M>(k, r, kr);
+    fixed::MultiplyTransposed<N, M, N>(kr, k, krk);
+    for (size_t i = 0; i < N * N; ++i) p[i] = j1[i] + krk[i];
+  } else {
+    fixed::Multiply<N, N, N>(i_kh, p, j1);
+    for (size_t i = 0; i < N * N; ++i) p[i] = j1[i];
+  }
+  fixed::Symmetrize<N>(p);
+  *nis = Nis<M>(l, nu);
+
+  for (size_t e = 0; e < N; ++e) x_lane[e * kLanes] = x[e];
+  for (size_t i = 0; i < N * N; ++i) p_lane[i * kLanes] = p[i];
+  return true;
+}
+
+// KalmanPredictor's innovation gate: NIS of z, or -1.0 if S does not
+// factor. Read-only.
+template <size_t N, size_t M>
+double GateKernel(const double* h, const double* r, const double* x_lane,
+                  const double* p_lane, const double* z) {
+  double x[N], p[N * N], nu[M], l[M * M];
+  GatherSlot<N>(x_lane, p_lane, x, p);
+  if (!FactorInnovation<N, M>(h, r, x, p, z, nu, l)) return -1.0;
+  return Nis<M>(l, nu);
+}
+
+// KalmanFilter::PredictObservation: out = H x.
+template <size_t N, size_t M>
+void ObserveKernel(const double* h, const double* x_lane, double* out) {
+  double x[N];
+  for (size_t e = 0; e < N; ++e) x[e] = x_lane[e * kLanes];
+  fixed::MultiplyVec<M, N>(h, x, out);
+}
+
+}  // namespace
+
+/// The fixed-dimension kernels for one (state_dim, obs_dim).
+struct FilterPool::SlotKernels {
+  bool (*update)(const double* h, const double* r, bool joseph,
+                 double* x_lane, double* p_lane, const double* z,
+                 double* nis);
+  double (*gate)(const double* h, const double* r, const double* x_lane,
+                 const double* p_lane, const double* z);
+  void (*observe)(const double* h, const double* x_lane, double* out);
+};
+
+namespace {
+
+constexpr size_t kMaxDim = FilterPool::kMaxDim;
+
+// Entry (n - 1) * kMaxDim + (m - 1) holds the (n, m) instantiations.
+template <size_t... I>
+constexpr std::array<FilterPool::SlotKernels, sizeof...(I)> MakeKernelTable(
+    std::index_sequence<I...>) {
+  return {{FilterPool::SlotKernels{
+      &UpdateKernel<I / kMaxDim + 1, I % kMaxDim + 1>,
+      &GateKernel<I / kMaxDim + 1, I % kMaxDim + 1>,
+      &ObserveKernel<I / kMaxDim + 1, I % kMaxDim + 1>}...}};
+}
+
+constexpr auto kSlotKernelTable =
+    MakeKernelTable(std::make_index_sequence<kMaxDim * kMaxDim>());
+
+}  // namespace
 
 // ---------------------------------------------------------------- FilterPool
 
@@ -21,6 +165,10 @@ FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form)
       simd_fn_(batch::SimdPredictFn(dim_)),
       portable_fn_(batch::PortablePredictFn(dim_)) {
   assert(model_.Validate().ok());
+  assert(dim_ >= 1 && dim_ <= kMaxDim);
+  assert(model_.obs_dim() >= 1 && model_.obs_dim() <= kMaxDim);
+  slot_kernels_ =
+      &kSlotKernelTable[(dim_ - 1) * kMaxDim + (model_.obs_dim() - 1)];
 }
 
 bool FilterPool::Matches(const StateSpaceModel& model,
@@ -91,15 +239,6 @@ void FilterPool::ResetSlot(int32_t slot, const Vector& x0, const Matrix& p0) {
   last_nis_[slot] = 0.0;
 }
 
-void FilterPool::LoadSlotInto(int32_t slot, Vector* x, Matrix* p) const {
-  x->ResizeUninit(dim_);
-  p->ResizeUninit(dim_, dim_);
-  for (size_t e = 0; e < dim_; ++e) (*x)[e] = XAt(slot, e);
-  for (size_t r = 0; r < dim_; ++r) {
-    for (size_t c = 0; c < dim_; ++c) (*p)(r, c) = PAt(slot, r, c);
-  }
-}
-
 void FilterPool::StoreSlotFrom(int32_t slot, const Vector& x,
                                const Matrix& p) {
   for (size_t e = 0; e < dim_; ++e) XAt(slot, e) = x[e];
@@ -119,31 +258,14 @@ void FilterPool::SymmetrizeSlotCov(int32_t slot) {
   }
 }
 
-void FilterPool::PredictScalarSlot(int32_t slot, Workspace* ws) {
-  // Same kernel sequence as KalmanFilter::Predict, on gathered slab
-  // entries: the pooled time update is bit-identical to the per-object
-  // one (and to the batch kernel, which runs this sequence per lane).
-  LoadSlotInto(slot, &ws->x, &ws->p);
-  MultiplyInto(model_.f, ws->x, &ws->fx);
-  ws->x = ws->fx;
-  SandwichInto(model_.f, ws->p, &ws->tmp1, &ws->j1);
-  AddInto(ws->j1, model_.q, &ws->p);
-  ws->p.Symmetrize();
-  StoreSlotFrom(slot, ws->x, ws->p);
-}
-
 void FilterPool::PredictRaw(int32_t slot) {
+  // Single-lane-mask call of the very kernel the sweep uses: computes all
+  // four lanes, stores one — bit-identical to a sweep over this block by
+  // construction.
   batch::PredictBlockFn fn = simd_ ? simd_fn_ : portable_fn_;
-  if (fn != nullptr) {
-    // Single-lane-mask call of the very kernel the sweep uses: computes
-    // all four lanes, stores one — bit-identical to a sweep over this
-    // block by construction.
-    const size_t block = static_cast<size_t>(slot) / kLanes;
-    fn(model_.f.data().data(), model_.q.data().data(), XBlock(block),
-       PBlock(block), 1u << (static_cast<size_t>(slot) % kLanes));
-    return;
-  }
-  PredictScalarSlot(slot, &ws_);
+  const size_t block = static_cast<size_t>(slot) / kLanes;
+  fn(model_.f.data().data(), model_.q.data().data(), XBlock(block),
+     PBlock(block), 1u << (static_cast<size_t>(slot) % kLanes));
 }
 
 void FilterPool::PredictSlot(int32_t slot) {
@@ -168,31 +290,16 @@ size_t FilterPool::SweepBlocks(size_t begin_block, size_t end_block) {
   // chunking across threads can affect any slot's state; blocks with no
   // active slots cost one mask test. Thread-safe for disjoint ranges:
   // only block-local slab memory and shared read-only model data are
-  // touched (no pool workspace).
+  // touched.
   batch::PredictBlockFn fn = simd_ ? simd_fn_ : portable_fn_;
+  const double* f = model_.f.data().data();
+  const double* q = model_.q.data().data();
   size_t advanced = 0;
-  if (fn != nullptr) {
-    const double* f = model_.f.data().data();
-    const double* q = model_.q.data().data();
-    for (size_t b = begin_block; b < end_block; ++b) {
-      unsigned mask = block_mask_[b];
-      if (mask == 0) continue;
-      fn(f, q, XBlock(b), PBlock(b), mask);
-      advanced += static_cast<size_t>(std::popcount(mask));
-    }
-  } else {
-    // dim > batch::kMaxDim: scalar per-slot fallback. Stack-local scratch
-    // keeps concurrent chunk sweeps off the shared workspace.
-    Workspace ws;
-    for (size_t b = begin_block; b < end_block; ++b) {
-      unsigned mask = block_mask_[b];
-      if (mask == 0) continue;
-      for (size_t l = 0; l < kLanes; ++l) {
-        if ((mask & (1u << l)) == 0) continue;
-        PredictScalarSlot(static_cast<int32_t>(b * kLanes + l), &ws);
-        ++advanced;
-      }
-    }
+  for (size_t b = begin_block; b < end_block; ++b) {
+    unsigned mask = block_mask_[b];
+    if (mask == 0) continue;
+    fn(f, q, XBlock(b), PBlock(b), mask);
+    advanced += static_cast<size_t>(std::popcount(mask));
   }
   return advanced;
 }
@@ -205,80 +312,29 @@ size_t FilterPool::PredictAll() {
 Status FilterPool::UpdateSlot(int32_t slot, const Vector& z) {
   assert(IsActive(slot));
   // Same kernel sequence as KalmanFilter::Update (minus the log-likelihood
-  // diagnostic, which nothing on the pooled path reads): bit-identical
-  // state, covariance, and NIS. Gather, update, scatter — a failed update
-  // returns before the scatter, leaving the slot untouched.
+  // diagnostic, which nothing on the pooled path reads), in the fixed-
+  // dimension twins: bit-identical state, covariance, and NIS. A failed
+  // update leaves the slot untouched.
   if (z.size() != model_.obs_dim()) {
     return Status::InvalidArgument("observation dimension mismatch");
   }
-  LoadSlotInto(slot, &ws_.x, &ws_.p);
-  const Matrix& h = model_.h;
-  MultiplyInto(h, ws_.x, &ws_.hx);
-  SubInto(z, ws_.hx, &ws_.nu);
-
-  SandwichInto(h, ws_.p, &ws_.tmp1, &ws_.s);
-  ws_.s += model_.r;
-  ws_.s.Symmetrize();
-  if (!Cholesky::FactorInto(ws_.s, &ws_.l)) {
+  if (!slot_kernels_->update(model_.h.data().data(), model_.r.data().data(),
+                             form_ == KalmanFilter::UpdateForm::kJoseph,
+                             XLane(slot), PLane(slot), z.data().data(),
+                             &last_nis_[slot])) {
     return Status::FailedPrecondition("innovation covariance not PD");
   }
-
-  // Gain K = P H^T S^{-1}; computed as solve(S, H P)^T to stay factored.
-  MultiplyTransposedInto(ws_.p, h, &ws_.ph_t);
-  TransposeInto(ws_.ph_t, &ws_.tmp1);
-  Cholesky::SolveInto(ws_.l, ws_.tmp1, &ws_.kt);
-  TransposeInto(ws_.kt, &ws_.k);
-
-  MultiplyInto(ws_.k, ws_.nu, &ws_.knu);
-  ws_.x += ws_.knu;
-
-  MultiplyInto(ws_.k, h, &ws_.kh);
-  IdentityMinusInto(ws_.kh, &ws_.i_kh);
-  if (form_ == KalmanFilter::UpdateForm::kJoseph) {
-    SandwichInto(ws_.i_kh, ws_.p, &ws_.tmp1, &ws_.j1);
-    SandwichInto(ws_.k, model_.r, &ws_.tmp1, &ws_.krk);
-    AddInto(ws_.j1, ws_.krk, &ws_.p);
-  } else {
-    MultiplyInto(ws_.i_kh, ws_.p, &ws_.j1);
-    ws_.p = ws_.j1;
-  }
-  ws_.p.Symmetrize();
-
-  Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
-  last_nis_[slot] = ws_.nu.Dot(ws_.sinv_nu);
-  StoreSlotFrom(slot, ws_.x, ws_.p);
   return Status::Ok();
-}
-
-size_t FilterPool::UpdateBatch(const int32_t* slots, const Vector* zs,
-                               size_t n) {
-  size_t updated = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (UpdateSlot(slots[i], zs[i]).ok()) ++updated;
-  }
-  return updated;
 }
 
 double FilterPool::GateSlot(int32_t slot, const Vector& z) {
   assert(IsActive(slot));
+  assert(z.size() == model_.obs_dim());
   // Exactly KalmanPredictor's gate: nu = z - H x; S = H P H^T + R;
-  // NIS = nu' S^{-1} nu via the Cholesky factor. The kernels are
-  // bit-identical to the value-returning operators the per-object gate
-  // uses (see linalg/kernels.h). Read-only: gathers, never scatters.
-  LoadSlotInto(slot, &ws_.x, &ws_.p);
-  MultiplyInto(model_.h, ws_.x, &ws_.hx);
-  SubInto(z, ws_.hx, &ws_.nu);
-  SandwichInto(model_.h, ws_.p, &ws_.tmp1, &ws_.s);
-  ws_.s += model_.r;
-  ws_.s.Symmetrize();
-  if (!Cholesky::FactorInto(ws_.s, &ws_.l)) return -1.0;
-  Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
-  return ws_.nu.Dot(ws_.sinv_nu);
-}
-
-void FilterPool::GateBatch(const int32_t* slots, const Vector* zs, size_t n,
-                           double* nis_out) {
-  for (size_t i = 0; i < n; ++i) nis_out[i] = GateSlot(slots[i], zs[i]);
+  // NIS = nu' S^{-1} nu via the Cholesky factor, in the same operation
+  // order as the value-returning operators the per-object gate uses.
+  return slot_kernels_->gate(model_.h.data().data(), model_.r.data().data(),
+                             XLane(slot), PLane(slot), z.data().data());
 }
 
 Vector FilterPool::StateOf(int32_t slot) const {
@@ -301,7 +357,11 @@ Matrix FilterPool::CovarianceOf(int32_t slot) const {
 
 Vector FilterPool::PredictObservationOf(int32_t slot) const {
   assert(IsActive(slot));
-  return model_.h * StateOf(slot);
+  Vector out;
+  out.ResizeUninit(model_.obs_dim());
+  slot_kernels_->observe(model_.h.data().data(), XLane(slot),
+                         out.data().data());
+  return out;
 }
 
 std::vector<double> FilterPool::SerializeSlot(int32_t slot) const {
@@ -618,11 +678,9 @@ std::unique_ptr<Predictor> MakePooledPredictor(const Predictor& prototype,
   if (kp == nullptr) return nullptr;
   const KalmanPredictor::Config& config = kp->config();
   if (config.adaptive.has_value()) return nullptr;
-  if (config.model.state_dim() > Vector::kInlineCap ||
-      config.model.state_dim() * config.model.state_dim() >
-          Matrix::kInlineCap ||
-      config.model.obs_dim() > Vector::kInlineCap) {
-    return nullptr;  // Outside the inline-slab envelope.
+  if (config.model.state_dim() > FilterPool::kMaxDim ||
+      config.model.obs_dim() > FilterPool::kMaxDim) {
+    return nullptr;  // Outside the pooled-kernel envelope.
   }
   return std::make_unique<PooledKalmanPredictor>(pools->InternConfig(config),
                                                  pools);

@@ -26,7 +26,9 @@ class MetricRegistry;
 /// KalmanFilter — whose ~7 KB of model + workspace matrices dominate the
 /// per-tick cache traffic at fleet scale — a pool keeps every filter's
 /// mutable state (x, P) in two contiguous slabs and shares a single model
-/// and scratch workspace across all slots.
+/// across all slots. Pools cover state and observation dims 1..kMaxDim
+/// (the envelope MakePooledPredictor gates); every kernel is specialized
+/// on the pool's dims at construction.
 ///
 /// Slab layout (AoSoA): slots are grouped into blocks of
 /// batch::kLanes (4); element e of slot s lives at
@@ -40,13 +42,15 @@ class MetricRegistry;
 /// instruction set.
 ///
 /// Bit-identity contract: every per-slot operation executes the *same*
-/// destination-passing kernel sequence as KalmanFilter::Predict/Update
-/// (src/kalman/kalman_filter.cc), and the vectorized sweep executes that
-/// sequence per lane without reordering anything within a slot — so a
-/// pooled filter's state is bit-identical to a per-object filter fed the
-/// same inputs whether the sweep ran scalar, vectorized, chunked across
-/// threads, or slot-at-a-time. Pooling is a memory-layout change, never a
-/// numerical one (see docs/PERF.md for the full argument).
+/// kernel sequence as KalmanFilter::Predict/Update
+/// (src/kalman/kalman_filter.cc; the measurement update through the
+/// fixed-dimension twins in linalg/fixed_kernels.h), and the vectorized
+/// sweep executes that sequence per lane without reordering anything
+/// within a slot — so a pooled filter's state is bit-identical to a
+/// per-object filter fed the same inputs whether the sweep ran scalar,
+/// vectorized, chunked across threads, or slot-at-a-time. Pooling is a
+/// memory-layout change, never a numerical one (see docs/PERF.md for the
+/// full argument).
 ///
 /// Slot lifecycle: Acquire() -> ResetSlot() -> {PredictAll / PredictSlot /
 /// UpdateSlot / GateSlot ...} -> Release(). Release zeroes x and P before
@@ -71,7 +75,13 @@ class FilterPool {
   static constexpr int32_t kNoSlot = -1;
   /// Slots per block (SIMD lanes of the batched predict kernel).
   static constexpr size_t kLanes = batch::kLanes;
+  /// Largest state and observation dimension a pool accepts.
+  static constexpr size_t kMaxDim = batch::kMaxDim;
+  /// Fixed-dimension measurement kernels for one (state_dim, obs_dim)
+  /// (defined in pool.cc).
+  struct SlotKernels;
 
+  /// Requires 1 <= state_dim, obs_dim <= kMaxDim (asserted).
   FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form);
 
   /// True if this pool stores filters for exactly this (model, form).
@@ -115,16 +125,6 @@ class FilterPool {
   /// their zero activity mask).
   size_t num_blocks() const { return block_mask_.size(); }
 
-  /// Measurement-updates each (slot, z) pair in order. Returns the number
-  /// of successful updates; a failed update (singular S) skips that slot
-  /// without touching its state, exactly like KalmanFilter::Update.
-  size_t UpdateBatch(const int32_t* slots, const Vector* zs, size_t n);
-
-  /// Computes the gate NIS of z against each slot (see GateSlot) into
-  /// nis_out[i], without mutating any state.
-  void GateBatch(const int32_t* slots, const Vector* zs, size_t n,
-                 double* nis_out);
-
   // --- Per-slot operations (same kernels, one slot at a time) ---------
 
   /// One time update: x <- F x, P <- F P F^T + Q. Bumps the predict epoch.
@@ -142,17 +142,17 @@ class FilterPool {
   /// z has the wrong dimension or S is not positive definite.
   Status UpdateSlot(int32_t slot, const Vector& z);
 
-  /// Innovation gate statistic: NIS of z against the slot's predicted
-  /// observation, computed exactly as KalmanPredictor's gate does.
-  /// Returns a negative value if S fails to factor (gate inconclusive);
-  /// never mutates state.
+  /// Innovation gate statistic: NIS of z (obs_dim entries) against the
+  /// slot's predicted observation, computed exactly as KalmanPredictor's
+  /// gate does. Returns a negative value if S fails to factor (gate
+  /// inconclusive); never mutates state.
   double GateSlot(int32_t slot, const Vector& z);
 
   // --- Accessors -------------------------------------------------------
 
   /// The slot's state / covariance, gathered out of the lane-interleaved
-  /// slab (by value; inline small-buffer storage, so no heap traffic for
-  /// the dim <= 8 envelope).
+  /// slab (by value; inline small-buffer storage, so no heap traffic
+  /// within the kMaxDim envelope).
   Vector StateOf(int32_t slot) const;
   Matrix CovarianceOf(int32_t slot) const;
   /// Expected observation H x (value-identical to
@@ -199,45 +199,34 @@ class FilterPool {
   bool simd() const { return simd_; }
 
  private:
-  /// Shared scratch, one per pool (not per filter): the same temporaries
-  /// KalmanFilter::Workspace holds, plus gather targets for the slot
-  /// being operated on, reshaped once and fully overwritten on every use.
-  /// Used only by single-writer per-slot operations — the chunked sweep
-  /// needs no workspace at all (the batch kernel lives in registers).
-  struct Workspace {
-    Vector x, fx, hx, nu, knu, sinv_nu;
-    Matrix p, tmp1, s, l, ph_t, kt, k, kh, i_kh, j1, krk;
-  };
-
   // Lane-addressing helpers (see the class comment for the layout).
   double* XBlock(size_t block) { return xs_.data() + block * dim_ * kLanes; }
   double* PBlock(size_t block) {
     return ps_.data() + block * dim_ * dim_ * kLanes;
   }
-  double& XAt(int32_t slot, size_t e) {
-    return xs_[((static_cast<size_t>(slot) / kLanes) * dim_ + e) * kLanes +
-               static_cast<size_t>(slot) % kLanes];
+  /// Offset of a slot's first entry in a slab holding `per_slot` entries
+  /// per slot; the slot's entry i lies i * kLanes doubles further on.
+  static size_t LaneOffset(int32_t slot, size_t per_slot) {
+    return (static_cast<size_t>(slot) / kLanes) * per_slot * kLanes +
+           static_cast<size_t>(slot) % kLanes;
   }
-  double XAt(int32_t slot, size_t e) const {
-    return xs_[((static_cast<size_t>(slot) / kLanes) * dim_ + e) * kLanes +
-               static_cast<size_t>(slot) % kLanes];
+  double* XLane(int32_t slot) { return xs_.data() + LaneOffset(slot, dim_); }
+  const double* XLane(int32_t slot) const {
+    return xs_.data() + LaneOffset(slot, dim_);
   }
+  double* PLane(int32_t slot) {
+    return ps_.data() + LaneOffset(slot, dim_ * dim_);
+  }
+  double& XAt(int32_t slot, size_t e) { return XLane(slot)[e * kLanes]; }
+  double XAt(int32_t slot, size_t e) const { return XLane(slot)[e * kLanes]; }
   double& PAt(int32_t slot, size_t r, size_t c) {
-    return ps_[((static_cast<size_t>(slot) / kLanes) * dim_ * dim_ +
-                r * dim_ + c) *
-                   kLanes +
-               static_cast<size_t>(slot) % kLanes];
+    return PLane(slot)[(r * dim_ + c) * kLanes];
   }
   double PAt(int32_t slot, size_t r, size_t c) const {
-    return ps_[((static_cast<size_t>(slot) / kLanes) * dim_ * dim_ +
-                r * dim_ + c) *
-                   kLanes +
-               static_cast<size_t>(slot) % kLanes];
+    return ps_[LaneOffset(slot, dim_ * dim_) + (r * dim_ + c) * kLanes];
   }
 
-  /// Gather / scatter one slot's (x, P) between the slabs and dense
-  /// Vector/Matrix scratch (pure copies: bit-preserving by definition).
-  void LoadSlotInto(int32_t slot, Vector* x, Matrix* p) const;
+  /// Scatters (x, P) into a slot's slab entries (pure copies).
   void StoreSlotFrom(int32_t slot, const Vector& x, const Matrix& p);
   /// In-place strided Symmetrize of a slot's P, same operation order as
   /// Matrix::Symmetrize.
@@ -246,19 +235,15 @@ class FilterPool {
   /// The time-update kernels on one slot, without epoch bookkeeping:
   /// a single-lane-mask call of the same block kernel the sweep uses.
   void PredictRaw(int32_t slot);
-  /// Scalar fallback for dims beyond the specialized kernels
-  /// (dim > batch::kMaxDim — never pooled by MakePooledPredictor, but
-  /// FilterPool itself stays fully functional): gather, run the scalar
-  /// kernel sequence in `ws`, scatter.
-  void PredictScalarSlot(int32_t slot, Workspace* ws);
   /// Appends one zeroed block to the slabs and bookkeeping arrays.
   void GrowBlock();
 
   StateSpaceModel model_;
   KalmanFilter::UpdateForm form_;
   size_t dim_;  ///< model_.state_dim(), cached for lane addressing.
-  batch::PredictBlockFn simd_fn_;      ///< Vector kernel (null if dim > 8).
-  batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin (ditto).
+  batch::PredictBlockFn simd_fn_;      ///< Vector kernel.
+  batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin.
+  const SlotKernels* slot_kernels_;    ///< Update / gate / observe.
   bool simd_ = true;
 
   // AoSoA slabs + per-slot bookkeeping, sized in whole blocks.
@@ -272,8 +257,6 @@ class FilterPool {
   size_t size_ = 0;  ///< Slots ever created (<= blocks * kLanes).
   size_t num_active_ = 0;
   int64_t sweep_count_ = 0;  ///< Batched sweeps since construction.
-
-  Workspace ws_;
 };
 
 /// The per-shard collection of filter pools: one FilterPool per distinct
@@ -413,10 +396,10 @@ class PooledKalmanPredictor : public Predictor {
 
 /// If `prototype` is a poolable KalmanPredictor — non-adaptive (adaptive
 /// noise estimation mutates the per-source model, defeating sharing) and
-/// within the inline state_dim/obs_dim <= 8 envelope — returns a pooled
-/// equivalent backed by `pools`. Returns nullptr when the prototype must
-/// stay on the virtual per-object path (EKF/UKF/IMM-style predictors,
-/// adaptive configs, oversized models).
+/// within the state_dim/obs_dim <= FilterPool::kMaxDim envelope — returns
+/// a pooled equivalent backed by `pools`. Returns nullptr when the
+/// prototype must stay on the virtual per-object path (EKF/UKF/IMM-style
+/// predictors, adaptive configs, oversized models).
 std::unique_ptr<Predictor> MakePooledPredictor(const Predictor& prototype,
                                                FilterPoolSet* pools);
 

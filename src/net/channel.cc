@@ -87,7 +87,11 @@ std::string NetworkStats::DeliveredLine() const {
 Channel::Channel() : Channel(Config()) {}
 
 Channel::Channel(Config config)
-    : config_(config), rng_(config.seed), injector_(config.faults) {}
+    : config_(config),
+      rng_(config.loss_prob > 0.0 || config.faults.any_enabled()
+               ? std::make_unique<Rng>(config.seed)
+               : nullptr),
+      injector_(config.faults) {}
 
 void Channel::BindMetrics(obs::MetricRegistry* registry) {
   if (registry == nullptr) {
@@ -169,14 +173,15 @@ Status Channel::Send(const Message& msg) {
     ChargeDrop(type);
     return Status::Ok();
   }
-  SendFaults faults = injector_.OnSend(rng_);
+  SendFaults faults =
+      rng_ != nullptr ? injector_.OnSend(*rng_) : SendFaults{};
   if (faults.burst_drop) {
     ++stats_.burst_drops;
     if (metrics_.burst_drops != nullptr) metrics_.burst_drops->Inc();
     ChargeDrop(type);
     return Status::Ok();
   }
-  if (config_.loss_prob > 0.0 && rng_.Bernoulli(config_.loss_prob)) {
+  if (config_.loss_prob > 0.0 && rng_->Bernoulli(config_.loss_prob)) {
     ChargeDrop(type);
     return Status::Ok();  // Silently lost, as on a real datagram link.
   }
@@ -216,7 +221,7 @@ void Channel::DeliverDue() {
   // happens after the scan so a receiver that triggers further sends
   // never sees a half-updated queue.
   std::vector<Message> due;
-  std::deque<Pending> keep;
+  std::vector<Pending> keep;
   for (Pending& p : pending_) {
     if (p.due_tick <= now_) {
       due.push_back(std::move(p.msg));

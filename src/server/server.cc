@@ -1,5 +1,7 @@
 #include "server/server.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "obs/audit.h"
 #include "obs/health.h"
@@ -31,7 +33,7 @@ void StreamServer::BindMetrics(obs::MetricRegistry* registry) {
         "kc.server.bound_width", obs::Buckets::Exponential(0.01, 4.0, 12));
     metrics_.sources->Set(static_cast<double>(replicas_.size()));
   }
-  for (auto& [id, replica] : replicas_) replica->BindMetrics(registry);
+  for (auto& replica : replicas_) replica->BindMetrics(registry);
 }
 
 void StreamServer::RecordQueryOutcome(bool ok, bool stale) const {
@@ -60,7 +62,7 @@ Status StreamServer::RegisterSource(int32_t source_id,
   if (predictor == nullptr) {
     return Status::InvalidArgument("null predictor");
   }
-  if (replicas_.count(source_id) > 0) {
+  if (replica_index_.count(source_id) > 0) {
     return Status::AlreadyExists(StrFormat("source %d already registered",
                                            source_id));
   }
@@ -69,7 +71,14 @@ Status StreamServer::RegisterSource(int32_t source_id,
   if (recovery_.enabled) replica->SetRecovery(recovery_);
   InstallControlSender(replica.get());
   BindReplicaObservability(replica.get());
-  replicas_[source_id] = std::move(replica);
+  auto pos = std::lower_bound(
+      replicas_.begin(), replicas_.end(), source_id,
+      [](const auto& r, int32_t id) { return r->source_id() < id; });
+  size_t index = static_cast<size_t>(pos - replicas_.begin());
+  replicas_.insert(pos, std::move(replica));
+  for (size_t i = index; i < replicas_.size(); ++i) {
+    replica_index_[replicas_[i]->source_id()] = i;
+  }
   if (metrics_.sources != nullptr) {
     metrics_.sources->Set(static_cast<double>(replicas_.size()));
   }
@@ -77,8 +86,15 @@ Status StreamServer::RegisterSource(int32_t source_id,
 }
 
 Status StreamServer::UnregisterSource(int32_t source_id) {
-  if (replicas_.erase(source_id) == 0) {
+  auto it = replica_index_.find(source_id);
+  if (it == replica_index_.end()) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
+  }
+  size_t index = it->second;
+  replica_index_.erase(it);
+  replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(index));
+  for (size_t i = index; i < replicas_.size(); ++i) {
+    replica_index_[replicas_[i]->source_id()] = i;
   }
   // Drop the archive with the replica: a re-registered id must not resume
   // the dead source's history (Record's non-decreasing-time invariant can
@@ -94,13 +110,14 @@ void StreamServer::Tick() {
   KC_TRACE_SCOPE("server.tick");
   const bool bound = metrics_.ticks != nullptr;
   int64_t t0 = bound ? obs::TraceNowNs() : 0;
-  for (auto& [id, replica] : replicas_) replica->Tick();
+  for (auto& replica : replicas_) replica->Tick();
   ++ticks_;
   if (archive_capacity_ > 0) {
-    for (auto& [id, replica] : replicas_) {
+    for (auto& replica : replicas_) {
       if (!replica->initialized() || replica->predictor().dims() != 1) {
         continue;
       }
+      int32_t id = replica->source_id();
       auto it = archives_.find(id);
       if (it == archives_.end()) {
         it = archives_.emplace(id, TickArchive(archive_capacity_)).first;
@@ -111,7 +128,7 @@ void StreamServer::Tick() {
   }
   if (bound) {
     metrics_.ticks->Inc();
-    for (auto& [id, replica] : replicas_) {
+    for (auto& replica : replicas_) {
       if (replica->initialized()) {
         metrics_.bound_width->Record(replica->bound());
       }
@@ -121,23 +138,28 @@ void StreamServer::Tick() {
   }
 }
 
+ServerReplica* StreamServer::Find(int32_t source_id) const {
+  auto it = replica_index_.find(source_id);
+  return it == replica_index_.end() ? nullptr : replicas_[it->second].get();
+}
+
 Status StreamServer::OnMessage(const Message& msg) {
-  auto it = replicas_.find(msg.source_id);
-  if (it == replicas_.end()) {
+  ServerReplica* replica = Find(msg.source_id);
+  if (replica == nullptr) {
     return Status::NotFound(StrFormat("message from unknown source %d",
                                       msg.source_id));
   }
   ++messages_processed_;
   if (metrics_.messages_in != nullptr) metrics_.messages_in->Inc();
-  return it->second->OnMessage(msg);
+  return replica->OnMessage(msg);
 }
 
 StatusOr<BoundedAnswer> StreamServer::SourceValue(int32_t source_id) const {
-  auto it = replicas_.find(source_id);
-  if (it == replicas_.end()) {
+  const ServerReplica* replica = Find(source_id);
+  if (replica == nullptr) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
-  const ServerReplica& r = *it->second;
+  const ServerReplica& r = *replica;
   if (!r.initialized()) {
     return Status::FailedPrecondition(
         StrFormat("source %d has not reported yet", source_id));
@@ -198,7 +220,7 @@ Status StreamServer::PushBound(int32_t source_id, double delta) {
   if (!control_sink_) {
     return Status::FailedPrecondition("no control sink installed");
   }
-  if (replicas_.count(source_id) == 0) {
+  if (Find(source_id) == nullptr) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
   if (delta <= 0.0) {
@@ -244,12 +266,12 @@ StatusOr<QueryResult> StreamServer::HistoricalAggregate(int32_t source_id,
 
 void StreamServer::SetRecovery(const ReplicaRecoveryConfig& config) {
   recovery_ = config;
-  for (auto& [id, replica] : replicas_) replica->SetRecovery(recovery_);
+  for (auto& replica : replicas_) replica->SetRecovery(recovery_);
 }
 
 bool StreamServer::IsDesynced(int32_t source_id) const {
-  auto it = replicas_.find(source_id);
-  return it != replicas_.end() && it->second->desynced();
+  const ServerReplica* replica = Find(source_id);
+  return replica != nullptr && replica->desynced();
 }
 
 void StreamServer::InstallControlSender(ServerReplica* replica) {
@@ -265,12 +287,12 @@ void StreamServer::InstallControlSender(ServerReplica* replica) {
 
 void StreamServer::BindFlightRecorder(obs::FlightRecorder* recorder) {
   recorder_ = recorder;
-  for (auto& [id, replica] : replicas_) BindReplicaObservability(replica.get());
+  for (auto& replica : replicas_) BindReplicaObservability(replica.get());
 }
 
 void StreamServer::BindHealth(obs::HealthMonitor* health) {
   health_ = health;
-  for (auto& [id, replica] : replicas_) BindReplicaObservability(replica.get());
+  for (auto& replica : replicas_) BindReplicaObservability(replica.get());
 }
 
 void StreamServer::BindReplicaObservability(ServerReplica* replica) {
@@ -291,14 +313,13 @@ obs::HealthState StreamServer::HealthOf(int32_t source_id) const {
 
 bool StreamServer::IsStale(int32_t source_id) const {
   if (staleness_limit_ <= 0) return false;
-  auto it = replicas_.find(source_id);
-  if (it == replicas_.end() || !it->second->initialized()) return false;
-  return it->second->TicksSinceHeard() > staleness_limit_;
+  const ServerReplica* replica = Find(source_id);
+  if (replica == nullptr || !replica->initialized()) return false;
+  return replica->TicksSinceHeard() > staleness_limit_;
 }
 
 const ServerReplica* StreamServer::replica(int32_t source_id) const {
-  auto it = replicas_.find(source_id);
-  return it == replicas_.end() ? nullptr : it->second.get();
+  return Find(source_id);
 }
 
 std::vector<std::string> StreamServer::QueryNames() const {
@@ -308,7 +329,7 @@ std::vector<std::string> StreamServer::QueryNames() const {
 std::vector<int32_t> StreamServer::SourceIds() const {
   std::vector<int32_t> ids;
   ids.reserve(replicas_.size());
-  for (const auto& [id, replica] : replicas_) ids.push_back(id);
+  for (const auto& replica : replicas_) ids.push_back(replica->source_id());
   return ids;
 }
 
@@ -321,7 +342,7 @@ Status StreamServer::RestoreArchivePoint(int32_t source_id, double time,
   if (archive_capacity_ == 0) {
     return Status::FailedPrecondition("archiving not enabled");
   }
-  if (replicas_.count(source_id) == 0) {
+  if (Find(source_id) == nullptr) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
   auto it = archives_.find(source_id);

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -216,7 +217,16 @@ class StreamServer : public SourceView {
   /// currently attached recorder_/health_ (either may be null).
   void BindReplicaObservability(ServerReplica* replica);
 
-  std::map<int32_t, std::unique_ptr<ServerReplica>> replicas_;
+  /// The source's replica, or nullptr if unknown.
+  ServerReplica* Find(int32_t source_id) const;
+
+  /// Replicas in ascending source-id order — the order every per-tick
+  /// walk visits them, as the id-keyed map this replaced did — stored
+  /// densely so a walk is a linear scan. `replica_index_` maps an id to
+  /// its position; registering out of id order shifts the tail and
+  /// re-indexes it (fleets register in id order, so that is an append).
+  std::vector<std::unique_ptr<ServerReplica>> replicas_;
+  std::unordered_map<int32_t, size_t> replica_index_;
   ReplicaRecoveryConfig recovery_;
   QueryTable queries_;
   std::map<int32_t, TickArchive> archives_;

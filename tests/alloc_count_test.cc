@@ -325,10 +325,10 @@ TEST(ZeroAllocTest, AuditedSuppressedTicksStayAllocationFree) {
 
 TEST(ZeroAllocTest, PooledFleetTickSteadyStateIsAllocationFree) {
   // The SoA hot loop at fleet scale in miniature: one pool, many slots,
-  // each tick a batched PredictAll sweep plus gated per-slot updates.
-  // Slabs and the shared workspace are sized at Acquire/first use, so the
-  // steady state must be zero-alloc — the property BM_FleetTick_1M's
-  // sources/sec rests on.
+  // each tick a batched PredictAll sweep plus a gate and an update per
+  // slot. Slabs are sized at Acquire and the per-slot kernels work on the
+  // stack, so the steady state must be zero-alloc — the property
+  // BM_FleetTick_1M's sources/sec rests on.
   StateSpaceModel model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
   FilterPool pool(model, KalmanFilter::UpdateForm::kJoseph);
   constexpr int kSlots = 32;
@@ -343,8 +343,11 @@ TEST(ZeroAllocTest, PooledFleetTickSteadyStateIsAllocationFree) {
   auto tick = [&] {
     for (int i = 0; i < kSlots; ++i) zs[i][0] = rng.Gaussian(0.0, 0.3);
     pool.PredictAll();
-    pool.GateBatch(slots.data(), zs.data(), kSlots, nis.data());
-    pool.UpdateBatch(slots.data(), zs.data(), kSlots);
+    for (int i = 0; i < kSlots; ++i) {
+      nis[i] = pool.GateSlot(slots[i], zs[i]);
+      (void)pool.UpdateSlot(slots[i], zs[i]);
+      (void)pool.PredictObservationOf(slots[i]);
+    }
   };
   for (int t = 0; t < 5; ++t) tick();
   long before = AllocCount();

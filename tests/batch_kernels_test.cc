@@ -105,8 +105,8 @@ struct BlockFixture {
   size_t dim_;
 };
 
-/// The scalar reference: exactly FilterPool::PredictScalarSlot /
-/// KalmanFilter::Predict's kernel sequence on one (x, P).
+/// The scalar reference: exactly KalmanFilter::Predict's kernel sequence
+/// on one (x, P).
 void ScalarPredict(const std::vector<double>& f_raw,
                    const std::vector<double>& q_raw, size_t dim, Vector* x,
                    Matrix* p) {

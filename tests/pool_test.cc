@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "fleet/sharded_fleet.h"
 #include "kalman/kalman_filter.h"
 #include "kalman/model.h"
+#include "linalg/decomp.h"
 #include "net/message.h"
+#include "obs/metrics.h"
 #include "streams/generators.h"
 #include "streams/reading.h"
 #include "suppression/policies.h"
@@ -30,6 +35,35 @@ StateSpaceModel MakeDimModel(size_t n) {
   model.h = Matrix(1, n);
   model.h(0, 0) = 1.0;
   model.r = Matrix{{0.04}};
+  return model;
+}
+
+/// A valid model with state dim n and obs dim m, shaped to reach every
+/// zero-skip branch of the measurement update. For n >= 2 the last state
+/// is isolated in F and unobserved, so its P cross terms and its row of
+/// the gain K stay exactly zero; H mixes 1.0-ish, 0.5, +0.0 and -0.0
+/// entries, and repeats observed states when m > n.
+StateSpaceModel MakeDimsModel(size_t n, size_t m) {
+  const size_t observed = n >= 2 ? n - 1 : 1;
+  StateSpaceModel model;
+  model.f = Matrix::Identity(n);
+  for (size_t i = 0; i + 1 < observed; ++i) model.f(i, i + 1) = 0.1;
+  model.q = Matrix::ScalarDiagonal(n, 0.01);
+  model.h = Matrix(m, n);
+  for (size_t r = 0; r < m; ++r) {
+    model.h(r, r % observed) = 1.0 + 0.25 * static_cast<double>(r);
+    if (observed > 1) {
+      model.h(r, (r + 1) % observed) = r % 2 == 0 ? -0.0 : 0.5;
+    }
+  }
+  model.r = Matrix(m, m);
+  for (size_t r = 0; r < m; ++r) {
+    model.r(r, r) = 0.04 + 0.01 * static_cast<double>(r);
+    if (r + 1 < m) {
+      model.r(r, r + 1) = 0.005;
+      model.r(r + 1, r) = 0.005;
+    }
+  }
   return model;
 }
 
@@ -79,15 +113,49 @@ void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
+/// Bit-pattern equality: unlike ==, tells -0.0 from 0.0. Any two NaNs
+/// count as equal (which NaN an operation propagates is not part of the
+/// contract).
+void ExpectSameBits(const double* a, const double* b, size_t n,
+                    const char* what, int tick) {
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << what << "[" << i << "] @" << tick << ": " << a[i] << " vs "
+        << b[i];
+  }
+}
+
+void ExpectSameBits(const Vector& a, const Vector& b, const char* what,
+                    int tick) {
+  ASSERT_EQ(a.size(), b.size()) << what << " @" << tick;
+  ExpectSameBits(a.data().data(), b.data().data(), a.size(), what, tick);
+}
+
+void ExpectSameBits(const std::vector<double>& a,
+                    const std::vector<double>& b, const char* what,
+                    int tick) {
+  ASSERT_EQ(a.size(), b.size()) << what << " @" << tick;
+  ExpectSameBits(a.data(), b.data(), a.size(), what, tick);
+}
+
 /// Drives a per-object KalmanPredictor and a pooled equivalent through an
 /// identical history — predicts, gated observations (accepts, rejects, and
 /// forced-accept runs), corrections, full syncs, and re-Inits — and
 /// asserts every externally visible value is bit-identical at every tick.
+/// With `expect_forced`, also asserts that the gate forced an accept at
+/// least once, equally often on both paths.
 void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
-                      uint64_t seed) {
+                      uint64_t seed, bool expect_forced = false) {
   KalmanPredictor object(config);
   FilterPoolSet pools;
   PooledKalmanPredictor pooled(config, &pools);
+  obs::MetricRegistry object_metrics;
+  obs::MetricRegistry pooled_metrics;
+  if (expect_forced) {
+    object.BindMetrics(&object_metrics);
+    pooled.BindMetrics(&pooled_metrics);
+  }
   size_t m = config.model.obs_dim();
   ReadingStream stream(m, seed);
 
@@ -139,6 +207,12 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
     // sync every reading flows into the filter.
     EXPECT_GT(object.OutliersRejected(), 0) << "gate never fired";
   }
+  if (expect_forced) {
+    const char* kForced = "kc.kalman.gate_forced_accepts";
+    EXPECT_GT(object_metrics.GetCounter(kForced)->value(), 0);
+    EXPECT_EQ(object_metrics.GetCounter(kForced)->value(),
+              pooled_metrics.GetCounter(kForced)->value());
+  }
 }
 
 KalmanPredictor::Config GatedConfig(StateSpaceModel model) {
@@ -156,6 +230,25 @@ TEST(PoolEquivalenceTest, BitIdenticalAcrossStateDims1To8) {
     SCOPED_TRACE(n);
     DriveEquivalence(GatedConfig(MakeDimModel(n)), /*ticks=*/160,
                      /*seed=*/0x9E3779B9u * n);
+  }
+}
+
+TEST(PoolEquivalenceTest, BitIdenticalOverWholeEnvelopeBothForms) {
+  // Every (state_dim, obs_dim) in 1..8 x 1..8 — obs_dim > state_dim
+  // included — in both update forms, through gate accepts, rejects and
+  // forced accepts.
+  for (size_t n = 1; n <= FilterPool::kMaxDim; ++n) {
+    for (size_t m = 1; m <= FilterPool::kMaxDim; ++m) {
+      for (auto form : {KalmanFilter::UpdateForm::kJoseph,
+                        KalmanFilter::UpdateForm::kStandard}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m
+                                        << " form=" << static_cast<int>(form));
+        KalmanPredictor::Config config = GatedConfig(MakeDimsModel(n, m));
+        config.update_form = form;
+        DriveEquivalence(config, /*ticks=*/120, /*seed=*/31 * n + m,
+                         /*expect_forced=*/true);
+      }
+    }
   }
 }
 
@@ -218,7 +311,9 @@ TEST(PoolEquivalenceTest, BatchedSweepMatchesLazyCatchUp) {
 
 // ------------------------------------------------------- Batched kernels
 
-TEST(FilterPoolTest, BatchKernelsMatchPerSlotCalls) {
+TEST(FilterPoolTest, SweepMatchesPerSlotPredict) {
+  // A pool advanced by the batched sweep and one advanced slot by slot
+  // must then gate and update to identical bits.
   StateSpaceModel model = MakeDimModel(3);
   FilterPool a(model, KalmanFilter::UpdateForm::kJoseph);
   FilterPool b(model, KalmanFilter::UpdateForm::kJoseph);
@@ -240,18 +335,11 @@ TEST(FilterPoolTest, BatchKernelsMatchPerSlotCalls) {
   EXPECT_EQ(a.PredictAll(), static_cast<size_t>(kSlots));
   for (int32_t s : slots_b) b.PredictSlot(s);
 
-  std::vector<double> nis_a(kSlots), nis_b(kSlots);
-  a.GateBatch(slots_a.data(), zs.data(), kSlots, nis_a.data());
-  for (int i = 0; i < kSlots; ++i) nis_b[i] = b.GateSlot(slots_b[i], zs[i]);
-  for (int i = 0; i < kSlots; ++i) EXPECT_EQ(nis_a[i], nis_b[i]) << i;
-
-  EXPECT_EQ(a.UpdateBatch(slots_a.data(), zs.data(), kSlots),
-            static_cast<size_t>(kSlots));
-  for (int i = 0; i < kSlots; ++i) {
-    ASSERT_TRUE(b.UpdateSlot(slots_b[i], zs[i]).ok());
-  }
   for (int i = 0; i < kSlots; ++i) {
     SCOPED_TRACE(i);
+    EXPECT_EQ(a.GateSlot(slots_a[i], zs[i]), b.GateSlot(slots_b[i], zs[i]));
+    ASSERT_TRUE(a.UpdateSlot(slots_a[i], zs[i]).ok());
+    ASSERT_TRUE(b.UpdateSlot(slots_b[i], zs[i]).ok());
     ExpectBitEqual(a.StateOf(slots_a[i]), b.StateOf(slots_b[i]), "x", i);
     ExpectBitEqual(a.SerializeSlot(slots_a[i]), b.SerializeSlot(slots_b[i]),
                    "xP", i);
@@ -284,6 +372,139 @@ TEST(FilterPoolTest, PoolMatchesKalmanFilterExactly) {
       ExpectBitEqual(filter.state(), pool.StateOf(slot), "x", t);
       ExpectBitEqual(filter.SerializeState(), pool.SerializeSlot(slot), "xP",
                      t);
+    }
+  }
+}
+
+/// NIS of z against `filter` exactly as KalmanPredictor's gate computes
+/// it, or -1.0 when S does not factor (FilterPool::GateSlot's contract).
+double ReferenceGate(KalmanFilter& filter, const Vector& z) {
+  Vector nu = z - filter.PredictObservation();
+  Matrix s;
+  filter.InnovationCovarianceInto(&s);
+  Matrix l;
+  if (!Cholesky::FactorInto(s, &l)) return -1.0;
+  Vector sinv_nu;
+  Cholesky::SolveInto(l, nu, &sinv_nu);
+  return nu.Dot(sinv_nu);
+}
+
+TEST(FilterPoolTest, FixedKernelsMatchKalmanFilterOverWholeEnvelope) {
+  // Every (state_dim, obs_dim) the pool accepts, including obs_dim >
+  // state_dim, in both update forms: predicted observation, gate NIS,
+  // updated x and P, and update NIS must match the per-object filter bit
+  // for bit (signed zeros included). x0 and P0 carry -0.0 entries, and
+  // MakeDimsModel keeps zeros in H, P and K. A skipped `av == 0.0` term
+  // differs from an added one only when its other factor is infinite or
+  // NaN, so the run ends with an infinite variance on the isolated state,
+  // which every zero-skip must keep out of the observed states.
+  for (size_t n = 1; n <= FilterPool::kMaxDim; ++n) {
+    for (size_t m = 1; m <= FilterPool::kMaxDim; ++m) {
+      for (auto form : {KalmanFilter::UpdateForm::kJoseph,
+                        KalmanFilter::UpdateForm::kStandard}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m
+                                        << " form=" << static_cast<int>(form));
+        StateSpaceModel model = MakeDimsModel(n, m);
+        Vector x0(n);
+        Matrix p0 = Matrix::ScalarDiagonal(n, 4.0);
+        for (size_t i = 0; i < n; ++i) {
+          x0[i] = i % 2 == 0 ? -0.5 * static_cast<double>(i) : -0.0;
+          for (size_t j = 0; j < n; ++j) {
+            if (i != j) p0(i, j) = -0.0;
+          }
+        }
+        KalmanFilter filter(model, x0, p0, form);
+        FilterPool pool(model, form);
+        pool.Acquire(0);  // A neighbour in the same block.
+        int32_t slot = pool.Acquire(1);
+        pool.ResetSlot(slot, x0, p0);
+        ExpectSameBits(filter.PredictObservation(),
+                       pool.PredictObservationOf(slot), "Hx0", 0);
+        ReadingStream stream(m, 1000 * n + m);
+        for (int t = 0; t < 24; ++t) {
+          filter.Predict();
+          pool.PredictSlot(slot);
+          Vector z = stream.Next().value;
+          if (t % 5 == 4) z[0] += 40.0;  // Far outside the gate.
+          ExpectSameBits(filter.PredictObservation(),
+                         pool.PredictObservationOf(slot), "Hx", t);
+          double gate = pool.GateSlot(slot, z);
+          EXPECT_GE(gate, 0.0);
+          EXPECT_EQ(std::bit_cast<uint64_t>(ReferenceGate(filter, z)),
+                    std::bit_cast<uint64_t>(gate))
+              << "gate @" << t;
+          ASSERT_TRUE(filter.Update(z).ok());
+          ASSERT_TRUE(pool.UpdateSlot(slot, z).ok());
+          EXPECT_EQ(std::bit_cast<uint64_t>(filter.last_nis()),
+                    std::bit_cast<uint64_t>(pool.LastNisOf(slot)))
+              << "nis @" << t;
+          ExpectSameBits(filter.SerializeState(), pool.SerializeSlot(slot),
+                         "xP", t);
+        }
+        if (n >= 2) {
+          // The isolated, unobserved last state kept its zero cross terms.
+          EXPECT_EQ(pool.CovarianceOf(slot)(n - 1, 0), 0.0);
+          std::vector<double> state = filter.SerializeState();
+          state[n + n * n - 1] = std::numeric_limits<double>::infinity();
+          ASSERT_TRUE(filter.DeserializeState(state).ok());
+          ASSERT_TRUE(pool.DeserializeSlot(slot, state).ok());
+          Vector z = stream.Next().value;
+          double want_gate = ReferenceGate(filter, z);
+          double gate = pool.GateSlot(slot, z);
+          ExpectSameBits(&want_gate, &gate, 1, "gate, infinite variance", 0);
+          EXPECT_EQ(filter.Update(z).code(), pool.UpdateSlot(slot, z).code());
+          double want_nis = filter.last_nis();
+          double nis = pool.LastNisOf(slot);
+          ExpectSameBits(&want_nis, &nis, 1, "nis, infinite variance", 0);
+          ExpectSameBits(filter.SerializeState(), pool.SerializeSlot(slot),
+                         "xP, infinite variance", 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(FilterPoolTest, FailedUpdateLeavesSlotUntouched) {
+  // A covariance that makes S = H P H^T + R indefinite (or NaN) fails the
+  // Cholesky factorization: UpdateSlot reports it exactly as
+  // KalmanFilter::Update does and leaves x, P and the last NIS as they
+  // were; GateSlot reports the inconclusive gate as -1.
+  for (size_t n : {size_t{1}, size_t{3}, FilterPool::kMaxDim}) {
+    for (size_t m : {size_t{1}, size_t{2}, FilterPool::kMaxDim}) {
+      for (double bad : {-100.0, std::nan("")}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m
+                                        << " bad=" << bad);
+        StateSpaceModel model = MakeDimsModel(n, m);
+        Vector x0(n);
+        for (size_t i = 0; i < n; ++i) x0[i] = 1.0 + static_cast<double>(i);
+        Matrix p0 = Matrix::ScalarDiagonal(n, 1.0);
+        KalmanFilter filter(model, x0, p0);
+        FilterPool pool(model, KalmanFilter::UpdateForm::kJoseph);
+        int32_t slot = pool.Acquire(0);
+        pool.ResetSlot(slot, x0, p0);
+        Vector z(m);
+        z[0] = 2.0;
+        ASSERT_TRUE(filter.Update(z).ok());
+        ASSERT_TRUE(pool.UpdateSlot(slot, z).ok());
+        const double nis = pool.LastNisOf(slot);
+        ASSERT_GT(nis, 0.0);
+
+        // Swap in the bad covariance without touching the NIS.
+        std::vector<double> bad_state = pool.SerializeSlot(slot);
+        for (size_t i = 0; i < n; ++i) bad_state[n + i * n + i] = bad;
+        ASSERT_TRUE(filter.DeserializeState(bad_state).ok());
+        ASSERT_TRUE(pool.DeserializeSlot(slot, bad_state).ok());
+        std::vector<double> before = pool.SerializeSlot(slot);
+
+        Status want = filter.Update(z);
+        Status got = pool.UpdateSlot(slot, z);
+        EXPECT_FALSE(want.ok());
+        EXPECT_EQ(want.code(), got.code());
+        ExpectSameBits(before, pool.SerializeSlot(slot), "untouched xP", 0);
+        EXPECT_EQ(pool.LastNisOf(slot), nis);
+        EXPECT_EQ(pool.GateSlot(slot, z), -1.0);
+        EXPECT_EQ(ReferenceGate(filter, z), -1.0);
+      }
     }
   }
 }

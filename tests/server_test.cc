@@ -47,6 +47,39 @@ TEST(StreamServerTest, UnregisterRemoves) {
   EXPECT_EQ(server.num_sources(), 0u);
 }
 
+TEST(StreamServerTest, OutOfOrderRegistrationKeepsIdOrderAndLookups) {
+  // Replicas are stored densely in id order with an id -> position index;
+  // registering or unregistering in the middle shifts the tail, and every
+  // lookup must still reach its own replica.
+  StreamServer server;
+  for (int32_t id : {5, -2, 9, 0, 7}) {
+    ASSERT_TRUE(
+        server.RegisterSource(id, std::make_unique<ValueCachePredictor>())
+            .ok());
+    ASSERT_TRUE(server.OnMessage(InitMessage(id, 0.5, 10.0 * id)).ok());
+  }
+  auto expect_routes = [&](const std::vector<int32_t>& ids) {
+    EXPECT_EQ(server.SourceIds(), ids);
+    for (int32_t id : ids) {
+      ASSERT_NE(server.replica(id), nullptr) << id;
+      EXPECT_EQ(server.replica(id)->source_id(), id);
+      auto answer = server.SourceValue(id);
+      ASSERT_TRUE(answer.ok()) << id;
+      EXPECT_EQ(answer->value[0], 10.0 * id);
+    }
+  };
+  expect_routes({-2, 0, 5, 7, 9});
+  ASSERT_TRUE(server.UnregisterSource(5).ok());
+  EXPECT_EQ(server.replica(5), nullptr);
+  EXPECT_FALSE(server.OnMessage(InitMessage(5, 0.5, 1.0)).ok());
+  expect_routes({-2, 0, 7, 9});
+  ASSERT_TRUE(
+      server.RegisterSource(5, std::make_unique<ValueCachePredictor>()).ok());
+  ASSERT_TRUE(server.OnMessage(InitMessage(5, 0.5, 50.0)).ok());
+  expect_routes({-2, 0, 5, 7, 9});
+  EXPECT_EQ(server.num_sources(), 5u);
+}
+
 TEST(StreamServerTest, SourceValueLifecycle) {
   StreamServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
