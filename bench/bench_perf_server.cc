@@ -41,26 +41,17 @@ void BM_ReplicaApplyCorrection(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicaApplyCorrection);
 
-void BM_FleetStep(benchmark::State& state) {
-  auto sources = static_cast<int>(state.range(0));
-  kc::Fleet fleet;
-  for (int i = 0; i < sources; ++i) {
-    kc::RandomWalkGenerator::Config walk;
-    walk.step_sigma = 0.3;
-    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
-                    kc::MakeDefaultKalmanPredictor(0.09, 0.01), 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet.Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations() * sources);
-}
-BENCHMARK(BM_FleetStep)->Arg(10)->Arg(100)->Arg(1000);
+// Steady state, wall clock: the first Step() INITs every source (one
+// message per source, no pool sweep), so kWarmupTicks untimed steps run
+// before the timed loop, and UseRealTime() makes items_per_second count
+// wall-clock time — the threaded rows otherwise divide by the main
+// thread's CPU time alone.
+constexpr int kWarmupTicks = 3;
 
-// The sharded executor on the same workload: {sources, threads}. At
-// threads=1 this measures the sharding overhead (it should be near
-// BM_FleetStep); at threads=N it measures the parallel speedup. Answers
-// are bit-identical across rows with the same source count.
+// The fleet tick on adaptive Kalman sources: {sources, threads}. The
+// threads=1 row is the sequential reference; at threads=N the row
+// measures the parallel speedup. Answers are bit-identical across rows
+// with the same source count.
 void BM_ShardedFleetStep(benchmark::State& state) {
   auto sources = static_cast<int>(state.range(0));
   kc::ShardedFleet::Config config;
@@ -72,6 +63,9 @@ void BM_ShardedFleetStep(benchmark::State& state) {
     fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
                     kc::MakeDefaultKalmanPredictor(0.09, 0.01), 1.0);
   }
+  for (int t = 0; t < kWarmupTicks; ++t) {
+    if (!fleet.Step().ok()) state.SkipWithError("warm-up step failed");
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(fleet.Step().ok());
   }
@@ -81,7 +75,8 @@ BENCHMARK(BM_ShardedFleetStep)
     ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
-    ->Args({10000, 4});
+    ->Args({10000, 4})
+    ->UseRealTime();
 
 // Telemetry-plane tax: the sharded fleet with the full distributed
 // telemetry plane on — per-shard metric arenas, plus a snapshot
@@ -130,12 +125,8 @@ BENCHMARK(BM_FleetStepTelemetry)
 // fleet_tick_1m table. The per-object baseline stops at 100k sources:
 // at ~44 KB per source it is memory-bound long before 1M.
 //
-// Steady state, wall clock: the first Step() INITs every source (no pool
-// sweep, one message per source), so kWarmupTicks untimed steps run
-// before the timed loop, and UseRealTime() makes items_per_second count
-// wall-clock time — the threaded rows otherwise divide by the main
-// thread's CPU time alone. MinTime buys several timed ticks at 1M.
-constexpr int kWarmupTicks = 3;
+// Steady state, wall clock, with the same kWarmupTicks as
+// BM_ShardedFleetStep. MinTime buys several timed ticks at 1M.
 void BM_FleetTick_1M(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
   const bool pooled = state.range(1) != 0;
@@ -186,7 +177,7 @@ BENCHMARK(BM_FleetTick_1M)
 
 void BM_AggregateEvaluate(benchmark::State& state) {
   auto members = static_cast<int>(state.range(0));
-  kc::Fleet fleet;
+  kc::ShardedFleet fleet;
   for (int i = 0; i < members; ++i) {
     kc::RandomWalkGenerator::Config walk;
     fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),

@@ -62,8 +62,8 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
     }
   }
 
-  // Identical seed derivation to the single-threaded Fleet: pure function
-  // of (fleet seed, id), never of shard or thread count.
+  // Seeds are a pure function of (fleet seed, id), never of shard or
+  // thread count.
   slot->generator = std::move(generator);
   slot->generator->Reset(SourceGeneratorSeed(config_.seed, id));
 
@@ -381,8 +381,10 @@ Status ShardedFleet::Run(size_t ticks) {
 }
 
 int64_t ShardedFleet::MessagesOf(int32_t id) const {
-  const AgentStats& s = by_id_[id]->agent->stats();
-  return s.corrections + s.full_syncs + 1;  // +1 for INIT.
+  const NetworkStats& s = by_id_[id]->channel->stats();
+  return s.by_type_sent[static_cast<size_t>(MessageType::kInit)] +
+         s.by_type_sent[static_cast<size_t>(MessageType::kCorrection)] +
+         s.by_type_sent[static_cast<size_t>(MessageType::kFullSync)];
 }
 
 int64_t ShardedFleet::TotalMessages() const {

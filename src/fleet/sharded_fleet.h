@@ -34,8 +34,9 @@ namespace kc {
 /// source id) alone — see SourceGeneratorSeed and friends in
 /// server/simulation.h — and shard assignment is a fixed hash of the id,
 /// so per-source answers, query results, and merged NetworkStats are
-/// bit-identical for ANY `threads` and ANY `num_shards`, and identical to
-/// a single-threaded Fleet run with the same seed and AddSource order.
+/// bit-identical for ANY `threads` and ANY `num_shards`: a run at
+/// {threads=1, num_shards=1} is the sequential reference for every other
+/// configuration with the same seed and AddSource order.
 class ShardedFleet {
  public:
   struct Config {
@@ -130,7 +131,8 @@ class ShardedFleet {
   const Sample& LastSampleOf(int32_t id) const {
     return by_id_[id]->last_sample;
   }
-  /// Data messages this source has sent so far.
+  /// Data messages (INIT, CORRECTION, FULL_SYNC) this source has put on
+  /// its uplink so far, re-INITs included; 0 before the first Step.
   int64_t MessagesOf(int32_t id) const;
 
   int64_t TotalMessages() const;

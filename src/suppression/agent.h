@@ -37,8 +37,9 @@ struct AgentStats {
   int64_t heartbeats = 0;
   int64_t suppressed = 0;
   /// Replica-requested resyncs answered (with a FULL_SYNC, or a fresh
-  /// INIT when the replica never saw one). Each is also counted in
-  /// full_syncs / corrections as appropriate.
+  /// INIT when the replica never saw one). A FULL_SYNC answer is also
+  /// counted in full_syncs (corrections when the predictor has no
+  /// full-state encoding); a re-INIT is counted nowhere else.
   int64_t resyncs_served = 0;
 
   /// Fraction of post-init ticks that required no correction.

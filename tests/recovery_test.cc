@@ -195,6 +195,39 @@ TEST(RecoveryTest, LostInitHealsViaReinit) {
   EXPECT_NEAR(link.replica.Value()[0], link.agent->PredictedValue()[0], 1e-9);
 }
 
+TEST(RecoveryTest, LostInitReinitIsBookedByMessagesOf) {
+  // LostInitHealsViaReinit's scenario on a fleet. The re-INIT that heals
+  // the replica is a data message like any other: MessagesOf must match
+  // the uplink's books, which the agent's decision counters do not.
+  ShardedFleet::Config config;
+  config.seed = 21;
+  config.channel.faults.partition_start = 0;
+  config.channel.faults.partition_length = 2;
+  config.recovery.enabled = true;
+  config.recovery.backoff_initial_ticks = 2;
+  config.recovery.backoff_max_ticks = 8;
+  config.agent_base.heartbeat_every = 2;
+  ShardedFleet fleet(config);
+  RandomWalkGenerator::Config walk;
+  walk.step_sigma = 1.0;
+  fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                  std::make_unique<KalmanPredictor>(MeasurementSyncKalman()),
+                  /*delta=*/0.1);
+  ASSERT_TRUE(fleet.Run(100).ok());
+
+  const AgentStats& stats = fleet.agent(0).stats();
+  const NetworkStats net = fleet.TotalNetworkStats();
+  auto sent = [&net](MessageType type) {
+    return net.by_type_sent[static_cast<size_t>(type)];
+  };
+  EXPECT_GT(stats.resyncs_served, 0);
+  EXPECT_EQ(sent(MessageType::kInit), 2) << "the lost INIT and the re-INIT";
+  EXPECT_EQ(fleet.MessagesOf(0),
+            net.messages_sent - sent(MessageType::kHeartbeat));
+  EXPECT_EQ(fleet.MessagesOf(0), stats.corrections + stats.full_syncs + 2);
+  EXPECT_TRUE(fleet.server().SourceValue(0).ok());
+}
+
 TEST(RecoveryTest, BurstLossReorderDuplicationStaysBounded) {
   // The statistical test: Gilbert-Elliott burst loss plus duplication
   // plus bounded reordering, driven through the public RunLink harness.
@@ -347,41 +380,6 @@ TEST(RecoveryTest, ShardedMetricsBitIdenticalForAnyThreadsWithFaultsOn) {
   EXPECT_EQ(net_one.burst_drops, net_four.burst_drops);
   EXPECT_EQ(net_one.bytes_delivered, net_four.bytes_delivered);
   EXPECT_EQ(control_one, control_four);
-}
-
-TEST(RecoveryTest, FlatFleetMatchesShardedUnderFaults) {
-  // The classic single-threaded Fleet and the sharded executor must agree
-  // bit-for-bit even with the full fault model and recovery running.
-  Fleet::Config flat_config;
-  flat_config.seed = 4242;
-  flat_config.agent_base.heartbeat_every = 4;
-  flat_config.channel = FaultyFleetConfig(1).channel;
-  flat_config.recovery = FaultyFleetConfig(1).recovery;
-  Fleet flat(flat_config);
-  ShardedFleet sharded(FaultyFleetConfig(4));
-  for (int i = 0; i < 9; ++i) {
-    RandomWalkGenerator::Config walk;
-    walk.start = 2.0 * i;
-    walk.step_sigma = 0.3;
-    flat.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                   std::make_unique<KalmanPredictor>(ScalarKalman()), 0.5);
-    sharded.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                      std::make_unique<KalmanPredictor>(ScalarKalman()), 0.5);
-  }
-  ASSERT_TRUE(flat.Run(300).ok());
-  ASSERT_TRUE(sharded.Run(300).ok());
-  for (int32_t id = 0; id < 9; ++id) {
-    auto a = flat.server().SourceValue(id);
-    auto b = sharded.server().SourceValue(id);
-    ASSERT_EQ(a.ok(), b.ok()) << "source " << id;
-    if (!a.ok()) continue;
-    EXPECT_EQ(a->value[0], b->value[0]) << "source " << id;
-    EXPECT_EQ(a->bound, b->bound) << "source " << id;
-    EXPECT_EQ(a->degraded, b->degraded) << "source " << id;
-  }
-  EXPECT_EQ(flat.TotalMessages(), sharded.TotalMessages());
-  EXPECT_EQ(flat.TotalBytes(), sharded.TotalBytes());
-  EXPECT_EQ(flat.TotalControlMessages(), sharded.TotalControlMessages());
 }
 
 TEST(RecoveryTest, DegradedSourcePropagatesIntoQueryAnswers) {

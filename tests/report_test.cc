@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 
@@ -17,21 +17,28 @@ TEST(ReportTest, EmptyServer) {
   EXPECT_NE(report.find("0 queries"), std::string::npos);
 }
 
-TEST(ReportTest, MentionsEverySectionOnLiveServer) {
-  Fleet fleet;
-  fleet.server().EnableArchiving(1000);
-  fleet.server().SetStalenessLimit(500);
+/// A live fleet: two sources, archiving, a staleness limit and one query,
+/// run for `ticks`.
+std::unique_ptr<ShardedFleet> LiveFleet(ShardedFleet::Config config,
+                                        size_t ticks) {
+  auto fleet = std::make_unique<ShardedFleet>(config);
+  fleet->server().EnableArchiving(1000);
+  fleet->server().SetStalenessLimit(500);
   RandomWalkGenerator::Config walk;
-  fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                  MakeDefaultKalmanPredictor(0.1, 0.01), 0.5);
-  fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                  std::make_unique<ValueCachePredictor>(), 1.0);
+  fleet->AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                   MakeDefaultKalmanPredictor(0.1, 0.01), 0.5);
+  fleet->AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                   std::make_unique<ValueCachePredictor>(), 1.0);
   auto spec = ParseQuery("SELECT AVG(s0, s1) WITHIN 1");
-  ASSERT_TRUE(spec.ok());
-  ASSERT_TRUE(fleet.server().AddQuery("avg", *spec).ok());
-  ASSERT_TRUE(fleet.Run(100).ok());
+  EXPECT_TRUE(spec.ok());
+  EXPECT_TRUE(fleet->server().AddQuery("avg", *spec).ok());
+  EXPECT_TRUE(fleet->Run(ticks).ok());
+  return fleet;
+}
 
-  std::string report = DescribeServer(fleet.server());
+TEST(ReportTest, MentionsEverySectionOnLiveServer) {
+  auto fleet = LiveFleet({}, 100);
+  std::string report = DescribeServer(fleet->server());
   EXPECT_NE(report.find("2 sources"), std::string::npos);
   EXPECT_NE(report.find("s0 [kalman]"), std::string::npos);
   EXPECT_NE(report.find("s1 [value_cache]"), std::string::npos);
@@ -40,6 +47,24 @@ TEST(ReportTest, MentionsEverySectionOnLiveServer) {
   EXPECT_NE(report.find("avg:"), std::string::npos);
   EXPECT_EQ(report.find("STALE"), std::string::npos);
   EXPECT_EQ(report.find("not initialized"), std::string::npos);
+}
+
+TEST(ReportTest, ShardedReportIsIndependentOfThreadsAndShards) {
+  // The report reads the merged view, so the shard layout must not leak
+  // into the text: any {threads, shards} renders byte-identically.
+  ShardedFleet::Config sequential;
+  sequential.seed = 17;
+  sequential.threads = 1;
+  sequential.num_shards = 1;
+  ShardedFleet::Config parallel = sequential;
+  parallel.threads = 3;
+  parallel.num_shards = 5;
+  std::string one = DescribeServer(LiveFleet(sequential, 300)->server());
+  auto sharded = LiveFleet(parallel, 300);
+  EXPECT_NE(sharded->server().ShardOf(0), sharded->server().ShardOf(1));
+  std::string many = DescribeServer(sharded->server());
+  EXPECT_NE(one.find("s1 [value_cache]"), std::string::npos);
+  EXPECT_EQ(one, many);
 }
 
 TEST(ReportTest, FlagsUninitializedAndStale) {

@@ -382,42 +382,14 @@ TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
                           "pooled simd parallel-sweep vs per-object (lossy)");
 }
 
-TEST(ShardedFleetTest, MatchesSingleThreadedFleet) {
-  // The sharded executor must reproduce the classic Fleet bit-for-bit:
-  // same seed, same AddSource order => same per-source answers and the
-  // same fleet-wide message accounting.
-  Fleet::Config flat_config;
-  flat_config.seed = 777;
-  Fleet flat(flat_config);
-  ShardedFleet::Config sharded_config;
-  sharded_config.seed = 777;
-  sharded_config.threads = 4;
-  sharded_config.num_shards = 5;
-  ShardedFleet sharded(sharded_config);
-  for (int i = 0; i < 9; ++i) {
-    RandomWalkGenerator::Config walk;
-    walk.start = 2.0 * i;
-    walk.step_sigma = 0.3;
-    flat.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                   std::make_unique<KalmanPredictor>(ScalarKalman()), 0.5);
-    sharded.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                      std::make_unique<KalmanPredictor>(ScalarKalman()), 0.5);
+TEST(ShardedFleetTest, MessagesOfCountsOnlyWhatWasSent) {
+  ShardedFleet fleet;
+  AddStandardSources(fleet, 3);
+  for (int32_t id = 0; id < 3; ++id) {
+    EXPECT_EQ(fleet.MessagesOf(id), 0) << "no INIT before the first step";
   }
-  ASSERT_TRUE(flat.Run(250).ok());
-  ASSERT_TRUE(sharded.Run(250).ok());
-  for (int32_t id = 0; id < 9; ++id) {
-    auto a = flat.server().SourceValue(id);
-    auto b = sharded.server().SourceValue(id);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->value[0], b->value[0]) << "source " << id;
-    EXPECT_EQ(a->bound, b->bound) << "source " << id;
-    EXPECT_EQ(flat.MessagesOf(id), sharded.MessagesOf(id)) << "source " << id;
-  }
-  EXPECT_EQ(flat.TotalMessages(), sharded.TotalMessages());
-  EXPECT_EQ(flat.TotalBytes(), sharded.TotalBytes());
-  EXPECT_EQ(flat.server().messages_processed(),
-            sharded.server().messages_processed());
+  ASSERT_TRUE(fleet.Run(1).ok());
+  for (int32_t id = 0; id < 3; ++id) EXPECT_EQ(fleet.MessagesOf(id), 1);
 }
 
 TEST(ShardedFleetTest, CrossShardQueriesAndArchives) {
